@@ -163,7 +163,8 @@ pub fn run_photo_batch(cfg: &BatchConfig) -> BatchOutcome {
                 .map(|m| {
                     m.as_ref().map(|model| {
                         (0..model.cameras().len())
-                            .map(|d| model.cost(r, d, &model.initial_status(d)).as_micros())
+                            .filter_map(|d| model.cost(r, d, &model.initial_status(d)))
+                            .map(SimDuration::as_micros)
                             .min()
                             .expect("model has cameras")
                     })
@@ -332,7 +333,7 @@ pub fn run_photo_batch(cfg: &BatchConfig) -> BatchOutcome {
             for (t, model) in sibling_models.iter().enumerate() {
                 let Some(model) = model else { continue };
                 let cheapest = (0..model.cameras().len())
-                    .map(|d| model.cost(r, d, &model.initial_status(d)))
+                    .filter_map(|d| model.cost(r, d, &model.initial_status(d)))
                     .min()
                     .expect("live shard has cameras");
                 if best.is_none_or(|b| (cheapest, t) < b) {

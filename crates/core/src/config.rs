@@ -47,11 +47,12 @@ impl Default for AdmissionConfig {
 /// How a batch of concurrent action requests is distributed over devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
-    /// Each request independently goes to its currently-cheapest available
-    /// candidate (pure device-selection optimization, §2.3).
+    /// Requests are assigned in arrival order, each to the available
+    /// candidate that finishes it first, and every device services its
+    /// queue in assignment order (device-selection optimization, §2.3).
     MinCost,
-    /// Batches of two or more requests are scheduled together with
-    /// LERFA + SRFE (§5); singletons fall back to min-cost.
+    /// LERFA + SRFE (§5): least eligible requests are assigned first, and
+    /// every device services its queue shortest request first.
     Scheduled,
 }
 

@@ -6,9 +6,12 @@
 //! and fires an [`ActionRequest`] per rising edge. Requests pending in one
 //! epoch are batched per shared action operator and dispatched together:
 //! probe candidates (§4), estimate costs from the probed physical status
-//! (§2.3), assign with LERFA + SRFE when the batch warrants scheduling (§5),
-//! lock devices for the assigned window (§4), and execute on the simulated
-//! hardware.
+//! (§2.3), assign with `aorta_sched`'s LERFA and order each device's lane
+//! with its SRFE (§5), lock devices for the assigned window (§4), and
+//! execute on the simulated hardware. [`DispatchPolicy::MinCost`] runs the
+//! same LERFA loop in arrival order and services lanes FIFO. The request
+//! timeout and deadline (shed) verdicts apply per assignment, before
+//! commit, so a refused request charges its device nothing.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,7 +22,8 @@ use aorta_device::{
 };
 use aorta_net::{BreakerDecision, BreakerState, ScanOperator};
 use aorta_obs::{detect_metrics, push_metrics, MetricsRegistry, SpanKind};
-use aorta_sim::{FaultEvent, LinkModel, SimDuration, SimTime};
+use aorta_sched::{assign_in_order, service_steps, CostModel, Decision, Instance, Plan};
+use aorta_sim::{FaultEvent, LinkModel, OpCounter, SimDuration, SimTime};
 use aorta_wal::{LifecycleStage, WalRecord};
 
 use crate::actions::{ActionDef, ActionHandler};
@@ -57,6 +61,62 @@ enum AdmissionVerdict {
     Degrade,
     /// Refuse: counted in `shed`, never enqueued.
     Shed,
+}
+
+/// Why dispatch refused a request's least-finish device, before commit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// The device's queue would start it after the request timeout.
+    TimedOut,
+    /// Its predicted completion overruns its deadline.
+    Shed,
+}
+
+/// The engine's profile-driven costing (§2.3) over one dispatch batch, seen
+/// through `aorta-sched`'s [`CostModel`]: requests and devices are dense
+/// indices, and a device starts from its probed status.
+struct DispatchModel<'a> {
+    engine: &'a Aorta,
+    def: &'a ActionDef,
+    requests: &'a [&'a ActionRequest],
+    devices: &'a [DeviceId],
+    probed: &'a [PhysicalStatus],
+}
+
+impl CostModel for DispatchModel<'_> {
+    type Status = PhysicalStatus;
+
+    fn initial_status(&self, device: usize) -> PhysicalStatus {
+        self.probed[device]
+    }
+
+    fn cost(&self, request: usize, device: usize, status: &PhysicalStatus) -> Option<SimDuration> {
+        self.engine.estimate_request_cost(
+            self.def,
+            self.requests[request],
+            self.devices[device],
+            status,
+        )
+    }
+
+    /// A camera ends up aimed at the photo target; other devices keep their
+    /// status.
+    fn next_status(
+        &self,
+        request: usize,
+        device: usize,
+        status: &PhysicalStatus,
+    ) -> PhysicalStatus {
+        if self.def.kind() == DeviceKind::Camera {
+            if let Some(target) = self
+                .engine
+                .photo_target(self.requests[request], self.devices[device])
+            {
+                return PhysicalStatus::CameraHead(target);
+            }
+        }
+        *status
+    }
 }
 
 /// Raw engine counters (photo outcomes are derived at read time, since
@@ -1529,21 +1589,194 @@ impl Aorta {
         }
     }
 
-    fn dispatch_batch(&mut self, action: &str, mut batch: Vec<ActionRequest>) {
+    /// Dispatches one batch of an action's pending requests: probe, assign
+    /// with `aorta-sched`'s LERFA, order each device's lane (SRFE under
+    /// [`DispatchPolicy::Scheduled`], arrival order under
+    /// [`DispatchPolicy::MinCost`]), then apply each decision's effects and
+    /// queue the `Execute` events under the device locks.
+    fn dispatch_batch(&mut self, action: &str, batch: Vec<ActionRequest>) {
         let Some(def) = self.catalog.action(action).cloned() else {
             self.raw_stats.action_errors += batch.len() as u64;
             return;
         };
+        let (devices, probed) = self.probe_candidates(&batch);
 
-        // Probe every distinct candidate once per batch (§4).
-        let mut devices: Vec<DeviceId> = batch
+        // Dense device indices follow `DeviceId` order, so lanes are visited
+        // in `DeviceId` order too.
+        let mut visit: Vec<(Vec<usize>, ActionRequest)> = batch
+            .into_iter()
+            .map(|request| {
+                let eligible = request
+                    .candidates
+                    .iter()
+                    .filter_map(|(d, _)| devices.binary_search(d).ok())
+                    .collect();
+                (eligible, request)
+            })
+            .collect();
+        if self.config.dispatch == DispatchPolicy::Scheduled {
+            // Least eligible (fewest available candidates) first; the sort
+            // is stable, so arrival order breaks ties.
+            visit.sort_by_key(|(eligible, _)| eligible.len());
+        }
+        let (eligible, batch): (Vec<Vec<usize>>, Vec<ActionRequest>) = visit.into_iter().unzip();
+        // A request with no available candidate stays out of the instance
+        // but keeps its place in the visiting order.
+        let members: Vec<usize> = (0..batch.len())
+            .filter(|&pos| !eligible[pos].is_empty())
+            .collect();
+        let inst = Instance::new(
+            devices.len(),
+            eligible.into_iter().filter(|e| !e.is_empty()).collect(),
+        );
+
+        // With synchronization a device starts at its lock horizon. Without
+        // it the optimizer does not know device workload, so it never queues:
+        // every request fires at once and interference ensues (§6.2).
+        let now = self.now;
+        let sync = self.config.sync_enabled;
+        let queued: Vec<SimDuration> = devices
+            .iter()
+            .map(|&d| match self.locks.locked_until(d, now) {
+                Some(until) if sync => until.saturating_duration_since(now),
+                _ => SimDuration::ZERO,
+            })
+            .collect();
+
+        let requests: Vec<&ActionRequest> = members.iter().map(|&pos| &batch[pos]).collect();
+        let model = DispatchModel {
+            engine: self,
+            def: &def,
+            requests: &requests,
+            devices: &devices,
+            probed: &probed,
+        };
+        let timeout = self.config.request_timeout;
+        let verdict = |r: usize, _: usize, queued: SimDuration, cost: SimDuration| {
+            let start = now + queued;
+            if start > requests[r].created_at + timeout {
+                Err(Refusal::TimedOut)
+            } else if start + cost > requests[r].deadline {
+                // Assigning work whose *predicted* completion already
+                // overruns its deadline only burns device time on a result
+                // that will be cancelled — shed it up front.
+                Err(Refusal::Shed)
+            } else {
+                Ok(())
+            }
+        };
+        let order: Vec<usize> = (0..members.len()).collect();
+        let mut ops = OpCounter::new();
+        let assignment = assign_in_order(&inst, &model, &order, &queued, sync, verdict, &mut ops);
+        let plan = match self.config.dispatch {
+            DispatchPolicy::Scheduled => Plan::ShortestFirstPerDevice(assignment.lanes),
+            DispatchPolicy::MinCost => Plan::Sequences(assignment.lanes),
+        };
+        let lanes = service_steps(&plan, &model, &mut ops).expect("static plan");
+
+        // Effects, in visiting order.
+        let mut batch: Vec<Option<ActionRequest>> = batch.into_iter().map(Some).collect();
+        let mut decisions = members.iter().zip(assignment.decisions).peekable();
+        for (pos, slot) in batch.iter_mut().enumerate() {
+            let query = slot.as_ref().expect("visited once").query_id;
+            match decisions.next_if(|(&m, _)| m == pos).map(|(_, d)| d) {
+                None | Some(Decision::Unassigned) => {
+                    self.no_candidate(slot.take().expect("visited once"));
+                }
+                Some(Decision::Rejected { device, reason, .. }) => {
+                    let d = devices[device];
+                    let (stage, kind, why) = match reason {
+                        Refusal::TimedOut => {
+                            self.raw_stats.timed_out += 1;
+                            let why = format!("earliest start on {d} misses the request deadline");
+                            (LifecycleStage::TimedOut, "dispatch", why)
+                        }
+                        Refusal::Shed => {
+                            self.raw_stats.shed += 1;
+                            let why = format!("predicted finish on {d} past the deadline, shed");
+                            (LifecycleStage::Shed, "deadline", why)
+                        }
+                    };
+                    self.wal_stage(query, stage);
+                    self.trace.emit(now, kind, format!("query {query}: {why}"));
+                }
+                Some(Decision::Committed { device, cost, .. }) => {
+                    self.wal_stage(query, LifecycleStage::Dispatched);
+                    let d = devices[device];
+                    let what = format!("query {query} assigned to {d} (estimate {cost})");
+                    self.trace.emit(now, "dispatch", what);
+                }
+            }
+        }
+
+        if let Some(m) = &self.obs {
+            m.span(
+                SpanKind::Schedule,
+                now,
+                SimDuration::ZERO,
+                &format!(
+                    "action={action} batch={} lanes={}",
+                    batch.len(),
+                    lanes.iter().filter(|l| !l.is_empty()).count()
+                ),
+            );
+        }
+
+        // Cost estimates are rounded to whole microseconds, so queued
+        // starts carry a small guard to keep the next command strictly
+        // after the previous one completes on the device.
+        const SCHEDULE_GUARD: SimDuration = SimDuration::from_millis(5);
+        for ((&d, &wait), lane) in devices.iter().zip(&queued).zip(lanes) {
+            let Some(&(first, _)) = lane.first() else {
+                continue;
+            };
+            // The gap between "now" and the device's lock horizon is time
+            // this lane spends queued behind the lock holder.
+            if !wait.is_zero() {
+                if let Some(m) = &self.obs {
+                    let device = d.to_string();
+                    m.observe("aorta_lock_wait", &[("device", device.as_str())], wait);
+                    m.span(
+                        SpanKind::LockWait,
+                        now,
+                        wait,
+                        &format!("device={d} wait={wait}"),
+                    );
+                }
+            }
+            let holder = batch[members[first]]
+                .as_ref()
+                .expect("committed once")
+                .query_id;
+            let mut t = now + wait;
+            for (r, cost) in lane {
+                let request = batch[members[r]].take().expect("committed once");
+                let start = if sync { t } else { now };
+                self.queue
+                    .push(start, EngineEvent::Execute { device: d, request });
+                t = start + cost + SCHEDULE_GUARD;
+            }
+            if sync && !self.locks.try_lock(d, holder, now, t) {
+                self.locks.extend(d, now, t);
+            }
+        }
+    }
+
+    /// Probes every distinct candidate of a batch once (§4), returning the
+    /// available devices in `DeviceId` order with their probed status.
+    fn probe_candidates(
+        &mut self,
+        batch: &[ActionRequest],
+    ) -> (Vec<DeviceId>, Vec<PhysicalStatus>) {
+        let mut candidates: Vec<DeviceId> = batch
             .iter()
             .flat_map(|r| r.candidates.iter().map(|(d, _)| *d))
             .collect();
-        devices.sort_unstable();
-        devices.dedup();
-        let mut status: BTreeMap<DeviceId, PhysicalStatus> = BTreeMap::new();
-        for &d in &devices {
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut devices = Vec::with_capacity(candidates.len());
+        let mut status = Vec::with_capacity(candidates.len());
+        for d in candidates {
             // An open breaker excludes the device before any probe is spent
             // on it; a half-open one admits exactly one probation attempt.
             if let Some(bank) = self.breakers.as_mut() {
@@ -1582,7 +1815,8 @@ impl Aorta {
             }
             match probed {
                 Some(s) => {
-                    status.insert(d, s);
+                    devices.push(d);
+                    status.push(s);
                 }
                 None => self.trace.emit(
                     self.now,
@@ -1591,234 +1825,22 @@ impl Aorta {
                 ),
             }
         }
+        (devices, status)
+    }
 
-        // LERFA ordering: least eligible (fewest available candidates) first.
-        if self.config.dispatch == DispatchPolicy::Scheduled && batch.len() > 1 {
-            batch.sort_by_key(|r| {
-                r.candidates
-                    .iter()
-                    .filter(|(d, _)| status.contains_key(d))
-                    .count()
-            });
-        }
-
-        // Per-device predicted state over the batch.
-        let mut free_at: BTreeMap<DeviceId, SimTime> = BTreeMap::new();
-        let mut predicted: BTreeMap<DeviceId, PhysicalStatus> = status.clone();
-        for &d in status.keys() {
-            let free = if self.config.sync_enabled {
-                self.locks.locked_until(d, self.now).unwrap_or(self.now)
-            } else {
-                self.now
-            };
-            free_at.insert(d, free);
-        }
-
-        // Phase 1: assignment (LERFA's min workload-plus-cost rule).
-        let batch_size = batch.len();
-        let mut lanes: BTreeMap<DeviceId, Vec<(ActionRequest, SimDuration)>> = BTreeMap::new();
-        for request in batch {
-            let mut best: Option<(SimTime, SimDuration, DeviceId)> = None;
-            for (d, _) in &request.candidates {
-                let Some(st) = predicted.get(d) else { continue };
-                let Some(cost) = self.estimate_request_cost(&def, &request, *d, st) else {
-                    continue;
-                };
-                let finish = free_at[d] + cost;
-                if best.is_none_or(|(bf, _, _)| finish < bf) {
-                    best = Some((finish, cost, *d));
-                }
-            }
-            let Some((finish, cost, d)) = best else {
-                if self.config.escalate_exhausted {
-                    self.escalate(request);
-                } else {
-                    self.raw_stats.no_candidate += 1;
-                    self.wal_stage(request.query_id, LifecycleStage::NoCandidate);
-                    self.trace.emit(
-                        self.now,
-                        "dispatch",
-                        format!("query {}: no available candidate", request.query_id),
-                    );
-                }
-                continue;
-            };
-            let start = free_at[&d];
-            if start > request.created_at + self.config.request_timeout {
-                self.raw_stats.timed_out += 1;
-                self.wal_stage(request.query_id, LifecycleStage::TimedOut);
-                self.trace.emit(
-                    self.now,
-                    "dispatch",
-                    format!(
-                        "query {}: earliest start on {d} misses the request deadline",
-                        request.query_id
-                    ),
-                );
-                continue;
-            }
-            // Deadline-aware rejection: assigning work whose *predicted*
-            // completion already overruns its deadline only burns device time
-            // on a result that will be cancelled — shed it up front.
-            if finish > request.deadline {
-                self.raw_stats.shed += 1;
-                self.wal_stage(request.query_id, LifecycleStage::Shed);
-                self.trace.emit(
-                    self.now,
-                    "deadline",
-                    format!(
-                        "query {}: predicted finish on {d} past the deadline, shed",
-                        request.query_id
-                    ),
-                );
-                continue;
-            }
-            self.wal_stage(request.query_id, LifecycleStage::Dispatched);
+    /// A request no available device can take: escalated to the gateway
+    /// when configured, otherwise a terminal `no_candidate`.
+    fn no_candidate(&mut self, request: ActionRequest) {
+        if self.config.escalate_exhausted {
+            self.escalate(request);
+        } else {
+            self.raw_stats.no_candidate += 1;
+            self.wal_stage(request.query_id, LifecycleStage::NoCandidate);
             self.trace.emit(
                 self.now,
                 "dispatch",
-                format!(
-                    "query {} assigned to {d} (estimate {cost})",
-                    request.query_id
-                ),
+                format!("query {}: no available candidate", request.query_id),
             );
-            // Without synchronization the optimizer does not know device
-            // workload, so it never queues — every request fires at once
-            // and interference ensues (§6.2).
-            if self.config.sync_enabled {
-                free_at.insert(d, finish);
-            }
-            if let Some(next) = self.predict_next_status(&def, &request, d, &predicted[&d]) {
-                predicted.insert(d, next);
-            }
-            lanes.entry(d).or_default().push((request, cost));
-        }
-
-        if let Some(m) = &self.obs {
-            m.span(
-                SpanKind::Schedule,
-                self.now,
-                SimDuration::ZERO,
-                &format!("action={action} batch={batch_size} lanes={}", lanes.len()),
-            );
-        }
-
-        // Phase 2: per-device SRFE ordering + scheduling of Execute events.
-        for (d, mut lane) in lanes {
-            let base = if self.config.sync_enabled {
-                self.locks.locked_until(d, self.now).unwrap_or(self.now)
-            } else {
-                self.now
-            };
-            // The gap between "now" and the device's lock horizon is time
-            // this lane spends queued behind the lock holder.
-            let lock_wait = base.saturating_duration_since(self.now);
-            if !lock_wait.is_zero() {
-                if let Some(m) = &self.obs {
-                    let device = d.to_string();
-                    m.observe("aorta_lock_wait", &[("device", device.as_str())], lock_wait);
-                    m.span(
-                        SpanKind::LockWait,
-                        self.now,
-                        lock_wait,
-                        &format!("device={d} wait={lock_wait}"),
-                    );
-                }
-            }
-            // SRFE: greedy nearest-first chain from the device's probed
-            // status (re-estimating after each predicted status change).
-            // The MinCost policy ablates this: each device services its
-            // queue in assignment order.
-            if self.config.dispatch == DispatchPolicy::MinCost {
-                let mut t = if self.config.sync_enabled {
-                    base
-                } else {
-                    self.now
-                };
-                let mut holder = None;
-                for (req, cost) in lane {
-                    holder.get_or_insert(req.query_id);
-                    let start = if self.config.sync_enabled {
-                        t.max(self.now)
-                    } else {
-                        self.now
-                    };
-                    self.queue.push(
-                        start,
-                        EngineEvent::Execute {
-                            device: d,
-                            request: req,
-                        },
-                    );
-                    t = start + cost + SimDuration::from_millis(5);
-                }
-                if self.config.sync_enabled {
-                    // Audited fold: `holder` is set by the first queued
-                    // request, so `None` only survives an empty lane — and
-                    // an empty lane locks a zero-length window under a
-                    // query id that owns nothing. Harmless, not hidden.
-                    let q = holder.unwrap_or(0);
-                    if !self.locks.try_lock(d, q, self.now, t) {
-                        self.locks.extend(d, self.now, t);
-                    }
-                }
-                continue;
-            }
-            let mut ordered: Vec<(ActionRequest, SimDuration)> = Vec::with_capacity(lane.len());
-            let mut st = status.get(&d).cloned();
-            while !lane.is_empty() {
-                let (idx, cost) = {
-                    let mut best = (0usize, SimDuration::MAX);
-                    for (i, (req, est)) in lane.iter().enumerate() {
-                        let c = match &st {
-                            Some(s) => self.estimate_request_cost(&def, req, d, s).unwrap_or(*est),
-                            None => *est,
-                        };
-                        if c < best.1 {
-                            best = (i, c);
-                        }
-                    }
-                    best
-                };
-                let (req, _) = lane.swap_remove(idx);
-                if let Some(s) = &st {
-                    if let Some(next) = self.predict_next_status(&def, &req, d, s) {
-                        st = Some(next);
-                    }
-                }
-                ordered.push((req, cost));
-            }
-
-            // Cost estimates are rounded to whole microseconds, so queued
-            // starts carry a small guard to keep the next command strictly
-            // after the previous one completes on the device.
-            const SCHEDULE_GUARD: SimDuration = SimDuration::from_millis(5);
-            let mut t = base;
-            let mut holder = None;
-            for (req, cost) in ordered {
-                holder.get_or_insert(req.query_id);
-                let start = if self.config.sync_enabled {
-                    t.max(self.now)
-                } else {
-                    self.now
-                };
-                self.queue.push(
-                    start,
-                    EngineEvent::Execute {
-                        device: d,
-                        request: req,
-                    },
-                );
-                t = start + cost + SCHEDULE_GUARD;
-            }
-            if self.config.sync_enabled {
-                // Audited fold: same invariant as the fast path above —
-                // `None` means an empty lane and a vacuous lock window.
-                let q = holder.unwrap_or(0);
-                if !self.locks.try_lock(d, q, self.now, t) {
-                    self.locks.extend(d, self.now, t);
-                }
-            }
         }
     }
 
@@ -1867,21 +1889,6 @@ impl Aorta {
             &def.profile
         };
         estimate_action_cost(profile, table, &ctx).ok()
-    }
-
-    fn predict_next_status(
-        &self,
-        def: &ActionDef,
-        request: &ActionRequest,
-        device: DeviceId,
-        status: &PhysicalStatus,
-    ) -> Option<PhysicalStatus> {
-        if def.kind() == DeviceKind::Camera {
-            self.photo_target(request, device)
-                .map(PhysicalStatus::CameraHead)
-        } else {
-            Some(*status)
-        }
     }
 
     /// The head position a photo request aims `device` at: the first
@@ -2312,6 +2319,71 @@ mod tests {
         let mut aorta = Aorta::with_lab(EngineConfig::seeded(seed), lab);
         aorta.execute_sql(SNAPSHOT).unwrap();
         aorta
+    }
+
+    /// SRFE re-costs each assigned pair from a status LERFA never saw, and
+    /// `aorta-sched` panics if such a pair turns out uncostable. That is
+    /// sound only because whether the engine can cost a pair never depends
+    /// on the device's status: check it for every pair of a real photo and
+    /// beep batch against every status a request can leave a device in.
+    #[test]
+    fn costability_does_not_depend_on_device_status() {
+        use super::DispatchModel;
+        use aorta_net::ScanOperator;
+        use aorta_sched::CostModel;
+        use std::collections::BTreeMap;
+
+        let lab = PervasiveLab::with_sizes(3, 6, 1)
+            .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
+        let mut aorta = Aorta::with_lab(EngineConfig::seeded(8), lab);
+        aorta.execute_sql(SNAPSHOT).unwrap();
+        aorta
+            .execute_sql(
+                "CREATE AQ b AS SELECT beep(t.id) FROM sensor t, sensor s WHERE s.accel_x > 500",
+            )
+            .unwrap();
+        let mut cache = BTreeMap::new();
+        for kind in [DeviceKind::Sensor, DeviceKind::Camera] {
+            let scan = ScanOperator::new(kind).run(&mut aorta.registry, aorta.now, &mut aorta.rng);
+            cache.insert(kind, scan);
+        }
+        aorta.detect_vectorized(&cache);
+        let (mut checked, mut costable_pairs) = (0, 0);
+        for action in ["photo", "beep"] {
+            let def = aorta.catalog.action(action).unwrap().clone();
+            let batch = aorta.operators.get_mut(action).unwrap().drain();
+            let requests: Vec<&crate::shared::ActionRequest> = batch.iter().collect();
+            let mut devices: Vec<DeviceId> = aorta.registry().ids_of_kind(def.kind());
+            devices.sort_unstable();
+            let probed: Vec<_> = devices
+                .iter()
+                .map(|&d| aorta.unprobed_status(d).unwrap())
+                .collect();
+            let model = DispatchModel {
+                engine: &aorta,
+                def: &def,
+                requests: &requests,
+                devices: &devices,
+                probed: &probed,
+            };
+            for d in 0..devices.len() {
+                let start = model.initial_status(d);
+                let reachable: Vec<_> = (0..requests.len())
+                    .map(|r| model.next_status(r, d, &start))
+                    .chain([start])
+                    .collect();
+                for r in 0..requests.len() {
+                    let costable = model.cost(r, d, &start).is_some();
+                    costable_pairs += usize::from(costable);
+                    for status in &reachable {
+                        assert_eq!(model.cost(r, d, status).is_some(), costable);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} pairs checked");
+        assert!(costable_pairs > 10, "only {costable_pairs} costable pairs");
     }
 
     #[test]

@@ -7,6 +7,7 @@ mod random;
 mod sa;
 mod srfae;
 
+pub use lerfa::{assign_in_order, Assignment, Decision};
 pub use optimal::exhaustive_optimal;
 pub use sa::SaConfig;
 

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 
 use aorta_sim::{OpCounter, SimDuration};
 
+use crate::problem::UNCOSTABLE;
 use crate::{CostModel, Instance, COST_ESTIMATE_OPS};
 
 /// Weight per BST insert/delete/update, on top of the cost estimate itself.
@@ -51,7 +52,7 @@ pub(crate) fn assign<M: CostModel>(
     for (r, keys) in key_of.iter_mut().enumerate() {
         for &d in inst.eligible(r) {
             ops.add(COST_ESTIMATE_OPS + TREE_OP);
-            let w = model.cost(r, d, &status[d]);
+            let w = model.cost(r, d, &status[d]).expect(UNCOSTABLE);
             tree.insert((w, r, d), ());
             keys[d] = Some(w);
         }
@@ -88,7 +89,7 @@ pub(crate) fn assign<M: CostModel>(
             if let Some(old) = key_of[rl][d] {
                 ops.add(COST_ESTIMATE_OPS + 2 * TREE_OP);
                 tree.remove(&(old, rl, d));
-                let c = model.cost(rl, d, &status[d]);
+                let c = model.cost(rl, d, &status[d]).expect(UNCOSTABLE);
                 let new_key = c + cum_workload[d];
                 tree.insert((new_key, rl, d), ());
                 key_of[rl][d] = Some(new_key);

@@ -9,6 +9,7 @@
 use aorta_obs::MetricsRegistry;
 use aorta_sim::{CpuModel, OpCounter, SimDuration, SimRng};
 
+use crate::problem::UNCOSTABLE;
 use crate::{Algorithm, CostModel, Instance, Plan, COST_ESTIMATE_OPS};
 
 /// The outcome of running one scheduling algorithm on one instance.
@@ -66,49 +67,96 @@ pub fn execute_plan<M: CostModel>(
     plan: &Plan,
     ops: &mut OpCounter,
 ) -> Vec<SimDuration> {
-    match plan {
-        Plan::Sequences(lanes) => lanes
+    match service_steps(plan, model, ops) {
+        Some(lanes) => lanes
             .iter()
-            .enumerate()
-            .map(|(d, lane)| model.sequence_cost(d, lane))
+            .map(|steps| steps.iter().map(|&(_, cost)| cost).sum())
             .collect(),
-        Plan::ShortestFirstPerDevice(lanes) => lanes
-            .iter()
-            .enumerate()
-            .map(|(d, lane)| srfe_device(model, d, lane, ops))
-            .collect(),
-        Plan::ListDynamic => list_schedule(inst, model, ops),
+        None => list_schedule(inst, model, ops),
     }
+}
+
+/// One serviced request: its index and its estimated cost from the status
+/// the previous step left the device in.
+pub type Step = (usize, SimDuration);
+
+/// The order each device of a static plan services its lane in, with each
+/// step's cost: [`Plan::Sequences`] lanes run as given,
+/// [`Plan::ShortestFirstPerDevice`] lanes in SRFE order (Algorithm 1.2).
+/// `None` for [`Plan::ListDynamic`], which has no lanes.
+///
+/// # Panics
+///
+/// Panics if a lane holds a pair the model cannot cost.
+pub fn service_steps<M: CostModel>(
+    plan: &Plan,
+    model: &M,
+    ops: &mut OpCounter,
+) -> Option<Vec<Vec<Step>>> {
+    let shortest_first = matches!(plan, Plan::ShortestFirstPerDevice(_));
+    let lanes = plan.per_device()?.iter().enumerate();
+    Some(
+        lanes
+            .map(|(d, lane)| {
+                if shortest_first {
+                    srfe(model, d, lane, ops)
+                } else {
+                    in_sequence(model, d, lane)
+                }
+            })
+            .collect(),
+    )
+}
+
+/// Services `sequence` on `device` in the given order.
+fn in_sequence<M: CostModel>(model: &M, device: usize, sequence: &[usize]) -> Vec<Step> {
+    let mut status = model.initial_status(device);
+    sequence
+        .iter()
+        .map(|&r| {
+            let cost = model.cost(r, device, &status).expect(UNCOSTABLE);
+            status = model.next_status(r, device, &status);
+            (r, cost)
+        })
+        .collect()
 }
 
 /// SRFE (Algorithm 1.2) on one device: repeatedly service the remaining
 /// request with the least estimated cost *from the device's current
-/// physical status*.
-fn srfe_device<M: CostModel>(
+/// physical status*. A tie goes to the request found first in the
+/// remaining list, which each step's swap-removal reorders. Returns the
+/// chosen order with each step's cost; their sum is the device's busy time.
+///
+/// # Panics
+///
+/// Panics if `requests` holds a request the model cannot cost on `device`.
+/// Costability must not depend on status (see [`CostModel::cost`]), so a
+/// lane LERFA assigned never does.
+fn srfe<M: CostModel>(
     model: &M,
     device: usize,
     requests: &[usize],
     ops: &mut OpCounter,
-) -> SimDuration {
+) -> Vec<Step> {
     let mut remaining: Vec<usize> = requests.to_vec();
     let mut status = model.initial_status(device);
-    let mut elapsed = SimDuration::ZERO;
+    let mut steps = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let mut best_idx = 0;
         let mut best_cost = SimDuration::MAX;
         for (i, &r) in remaining.iter().enumerate() {
             ops.add(COST_ESTIMATE_OPS);
-            let c = model.cost(r, device, &status);
+            let c = model.cost(r, device, &status).expect(UNCOSTABLE);
             if c < best_cost {
                 best_cost = c;
                 best_idx = i;
             }
         }
         let r = remaining.swap_remove(best_idx);
-        elapsed += best_cost;
+        steps.push((r, best_cost));
         status = model.next_status(r, device, &status);
     }
-    elapsed
+    steps
 }
 
 /// Greedy list scheduling: the earliest-idle device takes the first (in
@@ -139,7 +187,7 @@ fn list_schedule<M: CostModel>(
         match next {
             Some(r) => {
                 ops.add(COST_ESTIMATE_OPS);
-                let c = model.cost(r, d, &status[d]);
+                let c = model.cost(r, d, &status[d]).expect(UNCOSTABLE);
                 free_at[d] += c;
                 status[d] = model.next_status(r, d, &status[d]);
                 scheduled[r] = true;
@@ -286,19 +334,46 @@ mod tests {
         let (_, model) = camera_instance(5, 1, 41);
         let lane: Vec<usize> = (0..5).collect();
         let mut ops = OpCounter::new();
-        let srfe = srfe_device(&model, 0, &lane, &mut ops);
+        let shortest_first: SimDuration =
+            srfe(&model, 0, &lane, &mut ops).iter().map(|s| s.1).sum();
         let fifo = model.sequence_cost(0, &lane);
         assert!(
-            srfe <= fifo + SimDuration::from_micros(5),
-            "srfe {srfe} should not exceed fifo {fifo}"
+            shortest_first <= fifo + SimDuration::from_micros(5),
+            "srfe {shortest_first} should not exceed fifo {fifo}"
         );
+    }
+
+    #[test]
+    fn srfe_steps_match_sequence_cost_of_the_chosen_order() {
+        let (_, model) = camera_instance(6, 1, 47);
+        let lane: Vec<usize> = (0..6).collect();
+        let mut ops = OpCounter::new();
+        let steps = srfe(&model, 0, &lane, &mut ops);
+        let order: Vec<usize> = steps.iter().map(|s| s.0).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, lane, "every request serviced exactly once");
+        // Each step's cost is the sequence cost of the chosen order's
+        // prefix up to it, minus the prefix before it.
+        for k in 0..steps.len() {
+            let step = model.sequence_cost(0, &order[..=k]) - model.sequence_cost(0, &order[..k]);
+            assert_eq!(steps[k].1, step, "step {k}");
+        }
+        let total: SimDuration = steps.iter().map(|s| s.1).sum();
+        assert_eq!(total, model.sequence_cost(0, &order));
+        // A FIFO plan services the lane as given at its sequence cost.
+        let plan = Plan::Sequences(vec![lane.clone()]);
+        let fifo = service_steps(&plan, &model, &mut ops).unwrap();
+        assert_eq!(fifo[0].iter().map(|s| s.0).collect::<Vec<_>>(), lane);
+        let fifo_total: SimDuration = fifo[0].iter().map(|s| s.1).sum();
+        assert_eq!(fifo_total, model.sequence_cost(0, &lane));
     }
 
     #[test]
     fn srfe_counts_quadratic_estimates() {
         let (_, model) = camera_instance(4, 1, 42);
         let mut ops = OpCounter::new();
-        let _ = srfe_device(&model, 0, &[0, 1, 2, 3], &mut ops);
+        let _ = srfe(&model, 0, &[0, 1, 2, 3], &mut ops);
         // 4 + 3 + 2 + 1 = 10 estimates.
         assert_eq!(ops.total(), 10 * COST_ESTIMATE_OPS);
     }

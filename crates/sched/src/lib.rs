@@ -50,10 +50,10 @@ mod plan;
 mod problem;
 pub mod workload;
 
-pub use algorithms::{Algorithm, SaConfig};
+pub use algorithms::{assign_in_order, Algorithm, Assignment, Decision, SaConfig};
 pub use executor::{
-    execute_plan, requeue_orphans, requeue_orphans_with_deadlines, run_algorithm, OrphanOutcome,
-    RunResult,
+    execute_plan, requeue_orphans, requeue_orphans_with_deadlines, run_algorithm, service_steps,
+    OrphanOutcome, RunResult, Step,
 };
 pub use plan::Plan;
 pub use problem::{CameraPhotoModel, CostModel, Instance, TableModel, COST_ESTIMATE_OPS};

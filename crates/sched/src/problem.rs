@@ -84,23 +84,35 @@ pub trait CostModel {
     fn initial_status(&self, device: usize) -> Self::Status;
 
     /// Estimated cost of servicing `request` on `device` given its current
-    /// status.
-    fn cost(&self, request: usize, device: usize, status: &Self::Status) -> SimDuration;
+    /// status, or `None` when the pair cannot be costed (the device cannot
+    /// perform the request). Whether a pair is costable must not depend on
+    /// `status`: LERFA skips uncostable candidates, and every later step
+    /// that re-costs an assigned pair from a different status relies on the
+    /// answer staying `Some`.
+    fn cost(&self, request: usize, device: usize, status: &Self::Status) -> Option<SimDuration>;
 
     /// The device's status after servicing `request`.
     fn next_status(&self, request: usize, device: usize, status: &Self::Status) -> Self::Status;
 
     /// Total cost of servicing `sequence` in order from the initial status.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sequence holds a pair the model cannot cost.
     fn sequence_cost(&self, device: usize, sequence: &[usize]) -> SimDuration {
         let mut status = self.initial_status(device);
         let mut total = SimDuration::ZERO;
         for &r in sequence {
-            total += self.cost(r, device, &status);
+            total += self.cost(r, device, &status).expect(UNCOSTABLE);
             status = self.next_status(r, device, &status);
         }
         total
     }
 }
+
+/// Panic message for costing a pair that an [`Instance`] or plan declares
+/// serviceable but the model cannot cost: the two disagree, a caller bug.
+pub(crate) const UNCOSTABLE: &str = "scheduled an uncostable (request, device) pair";
 
 /// The kinematic cost model of the paper's experiments: every request is a
 /// `photo()` of a target location, every device an AXIS-class PTZ camera,
@@ -158,8 +170,12 @@ impl CostModel for CameraPhotoModel {
         self.cameras[device].rest_position()
     }
 
-    fn cost(&self, request: usize, device: usize, status: &PtzPosition) -> SimDuration {
-        self.cameras[device].estimate_photo_cost(*status, self.aims[device][request], self.size)
+    fn cost(&self, request: usize, device: usize, status: &PtzPosition) -> Option<SimDuration> {
+        Some(self.cameras[device].estimate_photo_cost(
+            *status,
+            self.aims[device][request],
+            self.size,
+        ))
     }
 
     fn next_status(&self, request: usize, device: usize, _status: &PtzPosition) -> PtzPosition {
@@ -172,7 +188,7 @@ impl CostModel for CameraPhotoModel {
 /// solver, and the ablation that isolates the effect of sequence-dependence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableModel {
-    /// `costs[d][r]`; `None` renders the pair ineligible (callers should
+    /// `costs[d][r]`; `None` renders the pair uncostable (callers should
     /// keep the [`Instance`] consistent).
     costs: Vec<Vec<Option<SimDuration>>>,
 }
@@ -225,8 +241,8 @@ impl CostModel for TableModel {
 
     fn initial_status(&self, _device: usize) {}
 
-    fn cost(&self, request: usize, device: usize, _status: &()) -> SimDuration {
-        self.costs[device][request].expect("scheduled an ineligible (request, device) pair")
+    fn cost(&self, request: usize, device: usize, _status: &()) -> Option<SimDuration> {
+        self.costs[device][request]
     }
 
     fn next_status(&self, _request: usize, _device: usize, _status: &()) {}
@@ -285,7 +301,7 @@ mod tests {
         for d in 0..2 {
             let mut status = model.initial_status(d);
             for r in 0..2 {
-                let c = model.cost(r, d, &status);
+                let c = model.cost(r, d, &status).unwrap();
                 assert!(c >= SimDuration::from_millis(360), "{c}");
                 assert!(c <= SimDuration::from_millis(5360), "{c}");
                 status = model.next_status(r, d, &status);
@@ -310,7 +326,7 @@ mod tests {
         // Direct check: cost of request 1 after request 0 < after request 2.
         let after0 = model.next_status(0, 0, &model.initial_status(0));
         let after2 = model.next_status(2, 0, &model.initial_status(0));
-        assert!(model.cost(1, 0, &after0) < model.cost(1, 0, &after2));
+        assert!(model.cost(1, 0, &after0).unwrap() < model.cost(1, 0, &after2).unwrap());
     }
 
     #[test]
@@ -343,7 +359,7 @@ mod tests {
         let t = TableModel::identical_machines(vec![SimDuration::from_secs(4)], 3);
         let inst = t.instance();
         assert_eq!(inst.n_devices(), 3);
-        assert_eq!(t.cost(0, 2, &()), SimDuration::from_secs(4));
+        assert_eq!(t.cost(0, 2, &()), Some(SimDuration::from_secs(4)));
     }
 
     #[test]

@@ -96,7 +96,7 @@ mod tests {
         for r in 0..20 {
             assert_eq!(inst.eligible(r).len(), 10);
             for d in 0..10 {
-                let c = model.cost(r, d, &model.initial_status(d));
+                let c = model.cost(r, d, &model.initial_status(d)).unwrap();
                 assert!(c >= SimDuration::from_millis(360), "{c}");
                 assert!(c <= SimDuration::from_millis(5360), "{c}");
             }
@@ -136,10 +136,10 @@ mod tests {
         let mut rng = SimRng::seed(55);
         let (inst, model) = uniform_table(50, 10, &mut rng);
         for r in 0..50 {
-            let c = model.cost(r, 0, &());
+            let c = model.cost(r, 0, &()).unwrap();
             assert!(c.as_secs_f64() >= 0.36 && c.as_secs_f64() <= 5.36, "{c}");
             // Identical machines: same cost everywhere.
-            assert_eq!(c, model.cost(r, 9, &()));
+            assert_eq!(Some(c), model.cost(r, 9, &()));
         }
         assert_eq!(inst.n_devices(), 10);
     }

@@ -100,7 +100,7 @@ proptest! {
             .map(|r| {
                 inst.eligible(r)
                     .iter()
-                    .map(|&d| model.cost(r, d, &()))
+                    .filter_map(|&d| model.cost(r, d, &()))
                     .min()
                     .expect("non-empty candidates")
             })
